@@ -196,6 +196,8 @@ func runHybridScale(k, width int, inputGB float64) (benchResult, error) {
 	res.NsPerOp = float64(time.Since(wall).Nanoseconds())
 	res.EventsPerSec = float64(events) / wallSec
 	res.FlowsCompleted = int64(st.Completed)
+	res.SettlePasses, res.FlowReRates = settles, reRates
+	res.Digest = fmt.Sprintf("%016x", n.Hybrid().Digest())
 	res.HeapSysBytes = heapSysBytes()
 	res.PeakRSSBytes = peakRSSBytes()
 	return res, nil
@@ -221,7 +223,13 @@ func runHybridScaleJSON(path, label string, appendRun bool, k, width int, inputG
 			return err
 		}
 	}
-	run := benchRun{Label: label, Go: runtime.Version(), Benchmarks: []benchResult{res}}
+	run := benchRun{
+		Label:      label,
+		Go:         runtime.Version(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Benchmarks: []benchResult{res},
+	}
 	run.HeapSysBytes = res.HeapSysBytes
 	run.PeakRSSBytes = res.PeakRSSBytes
 	file.Runs = append(file.Runs, run)

@@ -35,12 +35,17 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Hybrid scale runs additionally record simulation throughput and the
-	// memory high-water marks of the run.
+	// Hybrid scale runs additionally record simulation throughput, the
+	// memory high-water marks, the fluid layer's max-min settle passes and
+	// flow re-rates, and the completion digest (equal digests mean two
+	// runs computed the same thing).
 	EventsPerSec   float64 `json:"events_per_sec,omitempty"`
 	FlowsCompleted int64   `json:"flows_completed,omitempty"`
 	HeapSysBytes   int64   `json:"heap_sys_bytes,omitempty"`
 	PeakRSSBytes   int64   `json:"peak_rss_bytes,omitempty"`
+	SettlePasses   uint64  `json:"settle_passes,omitempty"`
+	FlowReRates    uint64  `json:"flow_rerates,omitempty"`
+	Digest         string  `json:"digest,omitempty"`
 	// Federated window benches additionally record how many conservative
 	// shard windows the group opened per virtual second (the WAN-lookahead
 	// scaling evidence).

@@ -17,9 +17,11 @@
 package flowsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -271,7 +273,6 @@ type Simulator struct {
 	linkMark  []int64
 	remCap    []float64
 	nUnfixed  []int32
-	linkVer   []uint32 // bumped whenever a link's remCap/nUnfixed changes
 	shares    shareHeap
 	compLinks []LinkID
 	compFlows []*Flow
@@ -307,7 +308,7 @@ func (s *Simulator) ensureLink(l int) {
 		s.linkMark = append(s.linkMark, 0)
 		s.remCap = append(s.remCap, 0)
 		s.nUnfixed = append(s.nUnfixed, 0)
-		s.linkVer = append(s.linkVer, 0)
+		s.shares.pos = append(s.shares.pos, 0)
 	}
 }
 
@@ -507,8 +508,6 @@ func (s *Simulator) settle() {
 			}
 		}
 	}
-	// Ascending link order reproduces the oracle's lowest-index tie-break.
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
 
 	capped := s.capped[:0]
 	unfixed := 0
@@ -529,7 +528,7 @@ func (s *Simulator) settle() {
 	sortCapped(capped)
 	s.DebugSettles++
 	s.DebugSettleFlows += uint64(len(flows))
-	s.waterfill(links, capped, unfixed)
+	s.waterfill(links, capped, unfixed, len(links) > scanThreshold)
 	s.compLinks = links[:0]
 	s.compFlows = flows[:0]
 	s.capped = capped[:0]
@@ -540,113 +539,50 @@ func (s *Simulator) settle() {
 // so the (unstable) sort is deterministic. The oracle uses the same
 // comparator.
 func sortCapped(capped []*Flow) {
-	sort.Slice(capped, func(i, j int) bool {
-		if capped[i].RateCap != capped[j].RateCap {
-			return capped[i].RateCap < capped[j].RateCap
-		}
-		if capped[i].ID != capped[j].ID {
-			return capped[i].ID < capped[j].ID
-		}
-		return capped[i].aseq < capped[j].aseq
+	slices.SortFunc(capped, func(a, b *Flow) int {
+		return cmp.Or(cmp.Compare(a.RateCap, b.RateCap), cmp.Compare(a.ID, b.ID), cmp.Compare(a.aseq, b.aseq))
 	})
 }
 
 // scanThreshold is the component size (links) above which waterfill
-// switches from the linear min-scan to the lazy min-heap. Both produce
-// the identical fix sequence, so the crossover only trades constants:
-// the scan is cache-friendly and allocation-free for the small components
-// typical of fidelity-scale runs; the heap wins once components span
-// thousands of links (k>=16 fat-trees under full shuffle load).
+// switches from the linear min-scan to the indexed heap. Both produce the
+// identical fix sequence; the scan stays for small components because a
+// heap-only build ran FlowsimChurn512 (components of at most 384 links)
+// ~15% slower on a 2-vCPU Xeon (median ratio of 16 interleaved pairs),
+// while the heap wins once components span thousands of links (k>=16
+// fat-trees under shuffle load).
 const scanThreshold = 512
 
 // waterfill runs progressive filling restricted to the given links. remCap
 // and nUnfixed must already be initialized for every link in links.
-func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int) {
-	if len(links) <= scanThreshold {
-		s.waterfillScan(links, capped, unfixed)
-		return
-	}
-	s.waterfillHeap(links, capped, unfixed)
-}
-
-// waterfillScan finds each bottleneck with a strictly-less-than scan over
-// the component links in ascending order (lowest index wins ties).
-func (s *Simulator) waterfillScan(links []LinkID, capped []*Flow, unfixed int) {
-	capIdx := 0
-	fix := func(f *Flow, rate float64) {
-		if f.fixed {
-			return
-		}
-		f.fixed = true
-		f.rate = rate
-		unfixed--
-		for _, l := range f.uniq {
-			s.remCap[int(l)] -= rate
-			if s.remCap[int(l)] < 0 {
-				s.remCap[int(l)] = 0
-			}
-			s.nUnfixed[int(l)]--
-		}
-		s.pushFin(f)
-	}
-	for unfixed > 0 {
-		minShare := math.Inf(1)
-		minLink := -1
+//
+// Each bottleneck is the (share, lowest linkID) minimum over the links
+// with unfixed flows, share being the float quotient remCap/nUnfixed —
+// the same pick, from the same quotients, as the allocate() oracle, so
+// rates are bit-identical to it whichever way the minimum is found.
+// Without useHeap a strictly-less-than scan over the links in ascending
+// order finds it. With useHeap an indexed min-heap over (share, linkID)
+// holds one slot per link with unfixed flows, and every key is at most
+// its link's true share: a fix that lowers a share (float rounding) sifts
+// the slot up at once, one that raises it only marks the slot stale, and
+// a stale slot is re-keyed with a sift-down when it surfaces. A non-stale
+// top is therefore the exact minimum. Links left with no unfixed flow are
+// dropped when they surface.
+func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int, useHeap bool) {
+	h := &s.shares
+	h.e = h.e[:0]
+	if useHeap {
 		for _, l := range links {
-			if s.nUnfixed[int(l)] == 0 {
-				continue
-			}
-			share := s.remCap[int(l)] / float64(s.nUnfixed[int(l)])
-			if share < minShare {
-				minShare, minLink = share, int(l)
+			if s.nUnfixed[int(l)] > 0 {
+				h.pos[l] = int32(len(h.e))
+				h.e = append(h.e, shareEntry{share: s.remCap[int(l)] / float64(s.nUnfixed[int(l)]), link: int32(l)})
 			}
 		}
-		for capIdx < len(capped) && capped[capIdx].fixed {
-			capIdx++
+		for i := len(h.e)/2 - 1; i >= 0; i-- {
+			h.down(i)
 		}
-		if capIdx < len(capped) && capped[capIdx].RateCap < minShare {
-			fix(capped[capIdx], capped[capIdx].RateCap)
-			continue
-		}
-		if minLink < 0 {
-			// Remaining flows are unconstrained by links: give them caps.
-			for _, f := range capped {
-				if !f.fixed {
-					fix(f, f.RateCap)
-				}
-			}
-			break
-		}
-		for _, f := range s.linkFlows[minLink] {
-			fix(f, minShare)
-		}
-	}
-}
-
-// waterfillHeap finds the next bottleneck with a lazy min-heap keyed by
-// (share, linkID) instead of rescanning every component link per
-// iteration. Each heap entry snapshots the link's version; fixing a flow
-// bumps the version of every link it crosses and pushes a fresh entry, so
-// stale snapshots are discarded on pop. The (share, linkID) order
-// reproduces exactly the ascending-scan's strictly-less-than selection —
-// lowest index among equal shares — and shares are the same
-// remCap/nUnfixed quotients the scan would compute, so the fix sequence
-// (and therefore every floating-point rate) is bit-identical to both
-// waterfillScan and the allocate() oracle.
-func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
-	h := s.shares[:0]
-	for _, l := range links {
-		if s.nUnfixed[int(l)] == 0 {
-			continue
-		}
-		h = append(h, shareEntry{
-			share: s.remCap[int(l)] / float64(s.nUnfixed[int(l)]),
-			link:  int32(l),
-			ver:   s.linkVer[int(l)],
-		})
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
+	} else {
+		slices.Sort(links)
 	}
 	capIdx := 0
 	fix := func(f *Flow, rate float64) {
@@ -662,13 +598,15 @@ func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
 				s.remCap[int(l)] = 0
 			}
 			s.nUnfixed[int(l)]--
-			s.linkVer[int(l)]++
-			if s.nUnfixed[int(l)] > 0 {
-				h.push(shareEntry{
-					share: s.remCap[int(l)] / float64(s.nUnfixed[int(l)]),
-					link:  int32(l),
-					ver:   s.linkVer[int(l)],
-				})
+			if !useHeap || s.nUnfixed[int(l)] == 0 {
+				continue
+			}
+			i := h.pos[l]
+			if share := s.remCap[int(l)] / float64(s.nUnfixed[int(l)]); share < h.e[i].share {
+				h.e[i].share, h.e[i].stale = share, false
+				h.up(int(i))
+			} else if share > h.e[i].share {
+				h.e[i].stale = true
 			}
 		}
 		s.pushFin(f)
@@ -676,14 +614,30 @@ func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
 	for unfixed > 0 {
 		minShare := math.Inf(1)
 		minLink := -1
-		for len(h) > 0 {
-			e := h[0]
-			if e.ver != s.linkVer[e.link] || s.nUnfixed[e.link] == 0 {
-				h.pop()
-				continue
+		if useHeap {
+			for len(h.e) > 0 {
+				top := &h.e[0]
+				l := int(top.link)
+				if s.nUnfixed[l] == 0 {
+					h.removeTop()
+				} else if top.stale {
+					top.share, top.stale = s.remCap[l]/float64(s.nUnfixed[l]), false
+					h.down(0)
+				} else {
+					minShare, minLink = top.share, l
+					break
+				}
 			}
-			minShare, minLink = e.share, int(e.link)
-			break
+		} else {
+			for _, l := range links {
+				if s.nUnfixed[int(l)] == 0 {
+					continue
+				}
+				share := s.remCap[int(l)] / float64(s.nUnfixed[int(l)])
+				if share < minShare {
+					minShare, minLink = share, int(l)
+				}
+			}
 		}
 		for capIdx < len(capped) && capped[capIdx].fixed {
 			capIdx++
@@ -705,68 +659,86 @@ func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
 			fix(f, minShare)
 		}
 	}
-	s.shares = h[:0]
 }
 
-// shareEntry is a snapshot of a link's fair share during waterfill; ver
-// invalidates it once the link's remCap or nUnfixed changes.
+// shareEntry is a lower bound on a link's fair share during waterfill;
+// stale marks a bound that may be below the link's current share.
 type shareEntry struct {
 	share float64
 	link  int32
-	ver   uint32
+	stale bool
 }
 
-// shareHeap is a binary min-heap over (share, link): the same order the
-// ascending scan's strictly-less-than minimum search induces.
-type shareHeap []shareEntry
-
-func (h shareHeap) less(i, j int) bool {
-	if h[i].share != h[j].share {
-		return h[i].share < h[j].share
-	}
-	return h[i].link < h[j].link
+// before orders entries by (share, link): the order the ascending scan's
+// strictly-less-than minimum search induces.
+func (a shareEntry) before(b shareEntry) bool {
+	return a.share < b.share || a.share == b.share && a.link < b.link
 }
 
-func (h *shareHeap) push(e shareEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
+// shareHeap is an indexed binary min-heap of shareEntry; pos[link] is the
+// link's slot in e.
+type shareHeap struct {
+	e   []shareEntry
+	pos []int32
+}
+
+func (h shareHeap) place(i int, e shareEntry) {
+	h.e[i] = e
+	h.pos[e.link] = int32(i)
+}
+
+func (h shareHeap) up(i int) {
+	e := h.e[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !(*h).less(i, p) {
+		if !e.before(h.e[p]) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		h.place(i, h.e[p])
 		i = p
 	}
-}
-
-func (h *shareHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	if n > 0 {
-		(*h).down(0)
-	}
+	h.place(i, e)
 }
 
 func (h shareHeap) down(i int) {
-	n := len(h)
+	e, n := h.e[i], len(h.e)
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(l, m) {
-			m = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, m) {
-			m = r
+		if c+1 < n && h.e[c+1].before(h.e[c]) {
+			c++
 		}
-		if m == i {
-			return
+		if !h.e[c].before(e) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		h.place(i, h.e[c])
+		i = c
 	}
+	h.place(i, e)
+}
+
+// removeTop drops the top slot. The hole walks the smaller-child path to a
+// leaf, then the last slot fills it and sifts up: that slot usually
+// belongs near the bottom, so this compares less than sifting it down.
+func (h *shareHeap) removeTop() {
+	n := len(h.e) - 1
+	last := h.e[n]
+	h.e = h.e[:n]
+	if n == 0 {
+		return
+	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h.e[c+1].before(h.e[c]) {
+			c++
+		}
+		h.place(i, h.e[c])
+		i = c
+	}
+	h.e[i] = last
+	h.up(i)
 }
 
 // maybeCompactFins rebuilds the finish heap when stale (version-mismatched)
