@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"dumbnet/internal/packet"
 )
@@ -62,26 +63,22 @@ type HostAttach struct {
 }
 
 // Topology is the full fabric graph. It is not safe for concurrent mutation;
-// readers may share a frozen topology.
+// readers may share a frozen topology through Dense, the routing kernels
+// and HostPath.
 type Topology struct {
 	switches map[SwitchID]*Switch
 	hosts    map[MAC]HostAttach
-	// neighbors caches per-switch adjacent switches in deterministic
-	// (port) order; rebuilt lazily after mutation.
-	neighbors map[SwitchID][]Neighbor
-	dirty     bool
 	// gen counts mutations; it is the invalidation token for everything
 	// derived from this topology (the dense snapshot below, the
 	// controller's path-graph cache).
 	gen   uint64
-	dense *DenseGraph
+	dense atomic.Pointer[DenseGraph]
 }
 
 // mutated invalidates every cache derived from the topology.
 func (t *Topology) mutated() {
-	t.dirty = true
 	t.gen++
-	t.dense = nil
+	t.dense.Store(nil)
 }
 
 // Generation returns the mutation counter. Any change to switches, links or
@@ -91,13 +88,15 @@ func (t *Topology) Generation() uint64 { return t.gen }
 
 // Dense returns the index-compressed CSR snapshot of the switch graph for
 // the current generation, rebuilding it lazily after mutations. The snapshot
-// is immutable; it may be shared across goroutines as long as nobody mutates
-// the topology concurrently.
+// is immutable and published atomically, so goroutines sharing a frozen
+// topology may call Dense concurrently, even while it is still cold.
 func (t *Topology) Dense() *DenseGraph {
-	if t.dense == nil || t.dense.gen != t.gen {
-		t.dense = NewDenseGraph(t)
+	if g := t.dense.Load(); g != nil && g.gen == t.gen {
+		return g
 	}
-	return t.dense
+	g := NewDenseGraph(t)
+	t.dense.Store(g)
+	return g
 }
 
 // Errors reported by topology operations.
@@ -122,7 +121,6 @@ func New() *Topology {
 	return &Topology{
 		switches: make(map[SwitchID]*Switch),
 		hosts:    make(map[MAC]HostAttach),
-		dirty:    true,
 	}
 }
 
@@ -294,10 +292,7 @@ func (t *Topology) RemoveSwitch(id SwitchID) error {
 	if !ok {
 		return ErrNoSwitch
 	}
-	for p := range sw.wired {
-		// Disconnect mutates sw.wired; collect first.
-		_ = p
-	}
+	// Disconnect mutates sw.wired; collect first.
 	ports := make([]Port, 0, len(sw.wired))
 	for p := range sw.wired {
 		ports = append(ports, p)
@@ -361,30 +356,9 @@ func (t *Topology) PortToward(from, to SwitchID) (Port, error) {
 	return 0, ErrNoLink
 }
 
-// rebuildNeighbors refreshes the adjacency cache.
-func (t *Topology) rebuildNeighbors() {
-	t.neighbors = make(map[SwitchID][]Neighbor, len(t.switches))
-	for id, sw := range t.switches {
-		var nbs []Neighbor
-		for p, ep := range sw.wired {
-			if ep.Kind == EndpointSwitch {
-				nbs = append(nbs, Neighbor{Sw: ep.Switch, Port: p})
-			}
-		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].Port < nbs[j].Port })
-		t.neighbors[id] = nbs
-	}
-	t.dirty = false
-}
-
-// Neighbors returns the switches adjacent to id in deterministic port order.
-// The returned slice must not be mutated.
-func (t *Topology) Neighbors(id SwitchID) []Neighbor {
-	if t.dirty {
-		t.rebuildNeighbors()
-	}
-	return t.neighbors[id]
-}
+// Neighbors returns the switches adjacent to id in port order, read off the
+// dense snapshot. The returned slice must not be mutated.
+func (t *Topology) Neighbors(id SwitchID) []Neighbor { return t.Dense().Neighbors(id) }
 
 // Clone returns a deep copy.
 func (t *Topology) Clone() *Topology {

@@ -79,10 +79,7 @@ func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng
 	if err != nil {
 		return nil, err
 	}
-	primary := make(SwitchPath, len(sc.path))
-	for i, idx := range sc.path {
-		primary[i] = g.ids[idx]
-	}
+	primary := g.idPath(sc.path)
 
 	// Backup: re-run shortest path with primary links penalized, so it
 	// shares as few links as possible (unless unavoidable). The primary is
@@ -99,10 +96,7 @@ func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng
 	var backup SwitchPath
 	sc.pathB, err = g.WeightedShortestPathInto(sc, si, di, cost, sc.pathB)
 	if err == nil {
-		backup = make(SwitchPath, len(sc.pathB))
-		for i, idx := range sc.pathB {
-			backup[i] = g.ids[idx]
-		}
+		backup = g.idPath(sc.pathB)
 	}
 	// else: a backup is best-effort; single-homed segments may have none.
 
@@ -124,11 +118,11 @@ func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng
 			if !nodes.Has(nb) {
 				continue
 			}
-			rp, ok := g.reversePort(nb, i)
+			rp, ok := g.PortBetween(nb, i)
 			if !ok {
 				return nil, ErrNoLink
 			}
-			sub.AddEdge(g.ids[i], g.port[e], g.ids[nb], rp)
+			sub.AddEdge(g.ids[i], g.nbs[e].Port, g.ids[nb], rp)
 		}
 	}
 	sub.AddHost(sat)
@@ -160,8 +154,8 @@ func detourNodesDense(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *B
 			bIdx = l - 1
 		}
 		a, b := primary[aIdx], primary[bIdx]
-		sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, a, bound)
-		sc.distB, sc.queueB = g.bfsInto(sc.distB, sc.queueB, b, bound)
+		sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, a, bound, nil)
+		sc.distB, sc.queueB = g.bfsInto(sc.distB, sc.queueB, b, bound, nil)
 		for _, x := range sc.queue {
 			if sc.distB[x] >= 0 && sc.dist[x]+sc.distB[x] <= bound {
 				sc.nodes.Set(x)

@@ -1,21 +1,19 @@
 package topo
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dumbnet/internal/packet"
 )
 
-// View is a read-only adjacency view of a switch graph. Both the full
-// Topology and a cached PathGraph implement it, so routing algorithms run
-// unchanged on either (hosts route within their cache, the controller
-// within the global view).
+// View is a read-only switch graph the routing kernels run on. Both the
+// full Topology and a Subgraph (a host's TopoCache, a path graph's body)
+// implement it by handing out their cached CSR snapshot, so hosts route
+// within their cache and the controller within the global view over the
+// same kernels.
 type View interface {
-	// Neighbors returns adjacent switches in deterministic order.
-	Neighbors(id SwitchID) []Neighbor
+	Dense() *DenseGraph
 }
 
 // SwitchPath is a hop-by-hop sequence of switch IDs, source-side first.
@@ -39,227 +37,110 @@ func (p SwitchPath) Clone() SwitchPath { return append(SwitchPath(nil), p...) }
 
 // Distances returns BFS hop counts from src to every reachable switch.
 func Distances(v View, src SwitchID) map[SwitchID]int {
-	dist := map[SwitchID]int{src: 0}
-	queue := []SwitchID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range v.Neighbors(cur) {
-			if _, ok := dist[nb.Sw]; !ok {
-				dist[nb.Sw] = dist[cur] + 1
-				queue = append(queue, nb.Sw)
-			}
-		}
+	g := v.Dense()
+	si, ok := g.index[src]
+	if !ok {
+		return map[SwitchID]int{src: 0}
 	}
-	return dist
+	sc := getScratch()
+	defer putScratch(sc)
+	dist := g.BFSInto(sc, si)
+	out := make(map[SwitchID]int, len(sc.queue))
+	for _, i := range sc.queue {
+		out[g.ids[i]] = int(dist[i])
+	}
+	return out
 }
 
 // ShortestPath returns one shortest switch path from src to dst. When rng is
 // non-nil, ties between equal-cost next hops are broken uniformly at random
 // (paper §4.3: "randomizes the choice for equal cost links ... useful for
-// load balancing"); with a nil rng the lowest-port neighbor wins, making the
-// result deterministic.
+// load balancing"); with a nil rng the first neighbor in Neighbors order
+// wins, making the result deterministic.
 func ShortestPath(v View, src, dst SwitchID, rng *rand.Rand) (SwitchPath, error) {
 	if src == dst {
 		return SwitchPath{src}, nil
 	}
-	// BFS from dst so dist[x] is hops to destination; then walk downhill.
-	dist := Distances(v, dst)
-	if _, ok := dist[src]; !ok {
+	g := v.Dense()
+	si, di, ok := g.pair(src, dst)
+	if !ok {
 		return nil, ErrNoPath
 	}
-	path := SwitchPath{src}
-	cur := src
-	for cur != dst {
-		var candidates []SwitchID
-		want := dist[cur] - 1
-		for _, nb := range v.Neighbors(cur) {
-			if d, ok := dist[nb.Sw]; ok && d == want {
-				candidates = append(candidates, nb.Sw)
-			}
-		}
-		if len(candidates) == 0 {
-			return nil, ErrNoPath
-		}
-		next := candidates[0]
-		if rng != nil && len(candidates) > 1 {
-			next = candidates[rng.Intn(len(candidates))]
-		}
-		path = append(path, next)
-		cur = next
+	sc := getScratch()
+	defer putScratch(sc)
+	p, err := g.ShortestPathInto(sc, si, di, rng, sc.path)
+	if err != nil {
+		return nil, err
 	}
-	return path, nil
+	sc.path = p
+	return g.idPath(p), nil
 }
 
 // WeightedShortestPath runs Dijkstra with per-link weights given by cost
 // (defaulting to 1 when cost returns 0 or less). Used for backup-path
 // computation, where primary-path links are made expensive (§4.3).
 func WeightedShortestPath(v View, src, dst SwitchID, cost func(a, b SwitchID) float64) (SwitchPath, error) {
-	type qitem struct {
-		sw   SwitchID
-		dist float64
+	if src == dst {
+		return SwitchPath{src}, nil
 	}
-	dist := map[SwitchID]float64{src: 0}
-	prev := map[SwitchID]SwitchID{}
-	visited := map[SwitchID]bool{}
-	// Simple heap-free Dijkstra; graphs here are small enough, and the
-	// deterministic scan order keeps results reproducible.
-	for {
-		// Pick the unvisited node with the smallest distance.
-		best := qitem{dist: -1}
-		for sw, d := range dist {
-			if visited[sw] {
-				continue
-			}
-			if best.dist < 0 || d < best.dist || (d == best.dist && sw < best.sw) {
-				best = qitem{sw: sw, dist: d}
-			}
-		}
-		if best.dist < 0 {
-			return nil, ErrNoPath
-		}
-		if best.sw == dst {
-			break
-		}
-		visited[best.sw] = true
-		for _, nb := range v.Neighbors(best.sw) {
-			if visited[nb.Sw] {
-				continue
-			}
-			w := cost(best.sw, nb.Sw)
-			if w <= 0 {
-				w = 1
-			}
-			nd := best.dist + w
-			if d, ok := dist[nb.Sw]; !ok || nd < d {
-				dist[nb.Sw] = nd
-				prev[nb.Sw] = best.sw
-			}
-		}
+	g := v.Dense()
+	si, di, ok := g.pair(src, dst)
+	if !ok {
+		return nil, ErrNoPath
 	}
-	// Reconstruct.
-	var rev SwitchPath
-	for cur := dst; ; {
-		rev = append(rev, cur)
-		if cur == src {
-			break
-		}
-		p, ok := prev[cur]
-		if !ok {
-			return nil, ErrNoPath
-		}
-		cur = p
+	sc := getScratch()
+	defer putScratch(sc)
+	p, err := g.WeightedShortestPathInto(sc, si, di, func(a, b int32) float64 {
+		return cost(g.ids[a], g.ids[b])
+	}, sc.pathB)
+	if err != nil {
+		return nil, err
 	}
-	out := make(SwitchPath, len(rev))
-	for i, sw := range rev {
-		out[len(rev)-1-i] = sw
-	}
-	return out, nil
+	sc.pathB = p
+	return g.idPath(p), nil
 }
 
 // KShortestPaths returns up to k loop-free shortest paths from src to dst in
 // ascending length order (Yen's algorithm over the unweighted view). Paths
-// of equal length are ordered deterministically.
+// of equal length are ordered lexicographically by switch ID.
 func KShortestPaths(v View, src, dst SwitchID, k int) ([]SwitchPath, error) {
-	first, err := ShortestPath(v, src, dst, nil)
+	if src == dst {
+		return []SwitchPath{{src}}, nil
+	}
+	g := v.Dense()
+	si, di, ok := g.pair(src, dst)
+	if !ok {
+		return nil, ErrNoPath
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	return g.KShortestPaths(sc, si, di, k)
+}
+
+// hostPath routes between two host attachments over snapshot g: one
+// shortest switch path, encoded as each hop's out-port followed by dat's
+// access port.
+func hostPath(g *DenseGraph, sat, dat HostAttach, rng *rand.Rand) (packet.Path, error) {
+	if sat.Switch == dat.Switch {
+		return packet.Path{dat.Port}, nil
+	}
+	si, di, ok := g.pair(sat.Switch, dat.Switch)
+	if !ok {
+		return nil, ErrNoPath
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	p, err := g.ShortestPathInto(sc, si, di, rng, sc.path)
 	if err != nil {
 		return nil, err
 	}
-	paths := []SwitchPath{first}
-	if k <= 1 {
-		return paths, nil
+	sc.path = p
+	tags := make(packet.Path, len(p))
+	for i := 0; i+1 < len(p); i++ {
+		tags[i], _ = g.PortBetween(p[i], p[i+1])
 	}
-	// seen holds the encoding of every accepted path and queued candidate,
-	// replacing the O(k²·n) containsPath scans the duplicate filter used to
-	// do per spur path.
-	seen := map[string]bool{pathKey(first): true}
-	var candidates []SwitchPath
-	for len(paths) < k {
-		last := paths[len(paths)-1]
-		// For each spur node in the previous path...
-		for i := 0; i < len(last)-1; i++ {
-			spur := last[i]
-			root := last[:i+1].Clone()
-			// Build a filtered view: remove links used by previous
-			// paths sharing this root, and remove root nodes.
-			removedEdges := map[[2]SwitchID]bool{}
-			for _, p := range paths {
-				if len(p) > i && p[:i+1].Equal(root) && len(p) > i+1 {
-					removedEdges[[2]SwitchID{p[i], p[i+1]}] = true
-					removedEdges[[2]SwitchID{p[i+1], p[i]}] = true
-				}
-			}
-			removedNodes := map[SwitchID]bool{}
-			for _, sw := range root[:len(root)-1] {
-				removedNodes[sw] = true
-			}
-			fv := filteredView{v: v, edges: removedEdges, nodes: removedNodes}
-			spurPath, err := ShortestPath(fv, spur, dst, nil)
-			if err != nil {
-				continue
-			}
-			total := append(root[:len(root)-1].Clone(), spurPath...)
-			if key := pathKey(total); !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(a, b int) bool {
-			if len(candidates[a]) != len(candidates[b]) {
-				return len(candidates[a]) < len(candidates[b])
-			}
-			return lessPath(candidates[a], candidates[b])
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
-	}
-	return paths, nil
-}
-
-// pathKey returns the big-endian byte encoding of a path — the hash-set key
-// KShortestPaths dedups with.
-func pathKey(p SwitchPath) string {
-	b := make([]byte, 4*len(p))
-	for i, sw := range p {
-		binary.BigEndian.PutUint32(b[4*i:], uint32(sw))
-	}
-	return string(b)
-}
-
-func lessPath(a, b SwitchPath) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// filteredView hides a set of edges and nodes from an underlying view.
-type filteredView struct {
-	v     View
-	edges map[[2]SwitchID]bool
-	nodes map[SwitchID]bool
-}
-
-func (f filteredView) Neighbors(id SwitchID) []Neighbor {
-	if f.nodes[id] {
-		return nil
-	}
-	var out []Neighbor
-	for _, nb := range f.v.Neighbors(id) {
-		if f.nodes[nb.Sw] || f.edges[[2]SwitchID{id, nb.Sw}] {
-			continue
-		}
-		out = append(out, nb)
-	}
-	return out
+	tags[len(p)-1] = dat.Port
+	return tags, nil
 }
 
 // TagsForSwitchPath encodes a switch-level path into the outgoing-port tag
@@ -289,7 +170,9 @@ func (t *Topology) TagsForSwitchPath(sp SwitchPath, dst MAC) (packet.Path, error
 }
 
 // HostPath computes one source-routed tag path from host src to host dst
-// over the topology, with randomized equal-cost choice when rng != nil.
+// over the topology, with randomized equal-cost choice when rng != nil. It
+// reads only the dense snapshot and the host table, so goroutines may share
+// a frozen topology's HostPath.
 func (t *Topology) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {
 	sat, err := t.HostAt(src)
 	if err != nil {
@@ -299,11 +182,7 @@ func (t *Topology) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, err := ShortestPath(t, sat.Switch, dat.Switch, rng)
-	if err != nil {
-		return nil, err
-	}
-	return t.TagsForSwitchPath(sp, dst)
+	return hostPath(t.Dense(), sat, dat, rng)
 }
 
 // WalkTags follows a tag path starting from the switch where host src

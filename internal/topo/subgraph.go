@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"dumbnet/internal/packet"
 )
@@ -16,6 +18,9 @@ import (
 type Subgraph struct {
 	adj   map[SwitchID]map[SwitchID]Port // adj[a][b] = a's port toward b
 	hosts map[MAC]HostAttach
+	// dense caches the CSR snapshot of adj; mutations that change
+	// adjacency drop it (see Dense).
+	dense atomic.Pointer[DenseGraph]
 }
 
 // NewSubgraph returns an empty subgraph.
@@ -28,23 +33,38 @@ func NewSubgraph() *Subgraph {
 
 // AddEdge records the bidirectional link a:pa <-> b:pb.
 func (s *Subgraph) AddEdge(a SwitchID, pa Port, b SwitchID, pb Port) {
-	if s.adj[a] == nil {
-		s.adj[a] = make(map[SwitchID]Port)
+	s.setPort(a, b, pa)
+	s.setPort(b, a, pb)
+}
+
+// row returns a's adjacency map, creating it (and dropping the snapshot).
+func (s *Subgraph) row(a SwitchID) map[SwitchID]Port {
+	m := s.adj[a]
+	if m == nil {
+		m = make(map[SwitchID]Port)
+		s.adj[a] = m
+		s.dense.Store(nil)
 	}
-	if s.adj[b] == nil {
-		s.adj[b] = make(map[SwitchID]Port)
+	return m
+}
+
+// setPort records a's port toward b, dropping the snapshot on a change.
+func (s *Subgraph) setPort(a, b SwitchID, p Port) {
+	m := s.row(a)
+	if q, ok := m[b]; !ok || q != p {
+		m[b] = p
+		s.dense.Store(nil)
 	}
-	s.adj[a][b] = pa
-	s.adj[b][a] = pb
 }
 
 // RemoveEdge deletes the link between a and b in both directions.
 func (s *Subgraph) RemoveEdge(a, b SwitchID) {
-	if m := s.adj[a]; m != nil {
-		delete(m, b)
-	}
-	if m := s.adj[b]; m != nil {
-		delete(m, a)
+	_, ab := s.adj[a][b]
+	_, ba := s.adj[b][a]
+	if ab || ba {
+		delete(s.adj[a], b)
+		delete(s.adj[b], a)
+		s.dense.Store(nil)
 	}
 }
 
@@ -64,10 +84,14 @@ func (s *Subgraph) RemoveEdgeByPort(sw SwitchID, p Port) bool {
 
 // RemoveSwitch deletes a switch and all links touching it.
 func (s *Subgraph) RemoveSwitch(id SwitchID) {
-	for nb := range s.adj[id] {
+	m, ok := s.adj[id]
+	for nb := range m {
 		delete(s.adj[nb], id)
 	}
-	delete(s.adj, id)
+	if ok {
+		delete(s.adj, id)
+		s.dense.Store(nil)
+	}
 }
 
 // RemoveHost forgets a cached host attachment. Tenant membership changes
@@ -79,9 +103,7 @@ func (s *Subgraph) RemoveHost(h MAC) {
 // AddHost records a host attachment.
 func (s *Subgraph) AddHost(at HostAttach) {
 	s.hosts[at.Host] = at
-	if s.adj[at.Switch] == nil {
-		s.adj[at.Switch] = make(map[SwitchID]Port)
-	}
+	s.row(at.Switch)
 }
 
 // HostAt returns a host's attachment point, if known.
@@ -138,19 +160,9 @@ func (s *Subgraph) Hosts() []HostAttach {
 	return out
 }
 
-// Neighbors implements View with deterministic (ID-sorted) order.
-func (s *Subgraph) Neighbors(id SwitchID) []Neighbor {
-	m := s.adj[id]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]Neighbor, 0, len(m))
-	for sw, p := range m {
-		out = append(out, Neighbor{Sw: sw, Port: p})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Sw < out[j].Sw })
-	return out
-}
+// Neighbors returns id's adjacent switches in ascending ID order, read off
+// the dense snapshot. The returned slice must not be mutated.
+func (s *Subgraph) Neighbors(id SwitchID) []Neighbor { return s.Dense().Neighbors(id) }
 
 // PortToward returns the local port on from toward adjacent switch to.
 func (s *Subgraph) PortToward(from, to SwitchID) (Port, error) {
@@ -162,16 +174,12 @@ func (s *Subgraph) PortToward(from, to SwitchID) (Port, error) {
 
 // Merge unions other into s. On conflicting port assignments the incoming
 // value wins (newer information from the controller supersedes stale cache).
+// A merge that teaches s no new switch or port keeps its snapshot.
 func (s *Subgraph) Merge(other *Subgraph) {
 	for a, m := range other.adj {
+		s.row(a)
 		for b, p := range m {
-			if s.adj[a] == nil {
-				s.adj[a] = make(map[SwitchID]Port)
-			}
-			s.adj[a][b] = p
-		}
-		if s.adj[a] == nil {
-			s.adj[a] = make(map[SwitchID]Port)
+			s.setPort(a, b, p)
 		}
 	}
 	for h, at := range other.hosts {
@@ -184,6 +192,42 @@ func (s *Subgraph) Clone() *Subgraph {
 	c := NewSubgraph()
 	c.Merge(s)
 	return c
+}
+
+// Dense returns the CSR snapshot of the switch graph: one row per switch in
+// ascending ID order, switches known only as someone's neighbour included,
+// each row in ascending neighbour-ID order (Neighbors' order). It is built
+// on first use straight from the adjacency maps and published atomically,
+// so goroutines sharing an unmutated subgraph may call it concurrently;
+// only mutations that change the adjacency drop it.
+func (s *Subgraph) Dense() *DenseGraph {
+	if g := s.dense.Load(); g != nil {
+		return g
+	}
+	index := make(map[SwitchID]int32, len(s.adj))
+	edges := 0
+	for a, m := range s.adj {
+		index[a] = 0
+		edges += len(m)
+		for b := range m {
+			index[b] = 0
+		}
+	}
+	ids := make([]SwitchID, 0, len(index))
+	for id := range index {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	g := newDense(ids, index, edges)
+	for _, a := range ids {
+		for b, p := range s.adj[a] {
+			g.nbr = append(g.nbr, index[b])
+			g.nbs = append(g.nbs, Neighbor{Sw: b, Port: p})
+		}
+		g.endRow(false)
+	}
+	s.dense.Store(g)
+	return g
 }
 
 // TagsForSwitchPath encodes a switch path into port tags using only cached
@@ -220,11 +264,7 @@ func (s *Subgraph) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, err := ShortestPath(s, sat.Switch, dat.Switch, rng)
-	if err != nil {
-		return nil, err
-	}
-	return s.TagsForSwitchPath(sp, dst)
+	return hostPath(s.Dense(), sat, dat, rng)
 }
 
 // KHostPaths returns up to k distinct tag paths between cached hosts,

@@ -2,6 +2,8 @@ package vnet
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dumbnet/internal/packet"
@@ -155,5 +157,62 @@ func TestApplyLinkDownPatchesViews(t *testing.T) {
 	m.ApplyLinkDown(sw, port)
 	if ten.View().NumLinks() != before-1 {
 		t.Fatalf("links %d -> %d, want -1", before, ten.View().NumLinks())
+	}
+}
+
+// TestConcurrentColdSnapshotReads races readers into the lazily built dense
+// snapshots: several goroutines ask PathGraphFor on one tenant whose view
+// has never been routed on (they share the manager's read lock), and call
+// HostPath on a frozen master whose snapshot is still cold. Run under -race;
+// every reader must also see the answers a sequential run gives.
+func TestConcurrentColdSnapshotReads(t *testing.T) {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant("a", macs[0:6]); err != nil {
+		t.Fatal(err)
+	}
+	frozen := tp.Clone()
+	type answer struct {
+		pgs   [][]byte
+		paths []packet.Path
+	}
+	read := func() (answer, error) {
+		var out answer
+		for i := 1; i < 6; i++ {
+			pg, err := m.PathGraphFor("a", macs[0], macs[i])
+			if err != nil {
+				return out, err
+			}
+			out.pgs = append(out.pgs, pg.Marshal())
+			p, err := frozen.HostPath(macs[i], macs[len(macs)-i], nil)
+			if err != nil {
+				return out, err
+			}
+			out.paths = append(out.paths, p)
+		}
+		return out, nil
+	}
+	const readers = 8
+	got := make([]answer, readers)
+	errs := make([]error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got[r], errs[r] = read()
+		}(r)
+	}
+	wg.Wait()
+	want, err := read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range got {
+		if errs[r] != nil {
+			t.Fatalf("reader %d: %v", r, errs[r])
+		}
+		if !reflect.DeepEqual(got[r], want) {
+			t.Fatalf("reader %d saw different routes than a sequential run", r)
+		}
 	}
 }
